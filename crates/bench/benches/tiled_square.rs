@@ -1,5 +1,5 @@
 //! Criterion bench for the tiled dense `a-square` (the `O(n^5)` hot
-//! path): naive row-major vs the cache-blocked kernel at several tile
+//! path): naive row-major vs the streaming kernel at several tile
 //! edges, plus the dirty-row copy path. Companion to the `exp_tiling`
 //! experiment binary, which measures the same sweep at larger `n` with a
 //! JSON report.

@@ -1,5 +1,5 @@
 //! T1 — the tiled dense `a-square` (the `O(n^5)` hot path): wall-time
-//! and candidate counts per tile size, naive vs cache-blocked kernels,
+//! and candidate counts per tile size, naive vs streaming kernels,
 //! plus the solver-level payoff of convergence-aware row scheduling.
 //!
 //! ```text

@@ -500,17 +500,22 @@ fn run_serve(
     Ok(String::new())
 }
 
-/// Append the per-iteration op counters of a solve trace (used by the
-/// paper algorithms' `--trace` output).
+/// Append the per-iteration op counters and op times of a solve trace
+/// (used by the paper algorithms' `--trace` output).
 fn push_iteration_trace(s: &mut String, trace: &pardp_core::trace::SolveTrace) {
+    let us = |nanos: u64| nanos as f64 / 1e3;
     for r in &trace.per_iteration {
         s.push_str(&format!(
-            "  iter {:>3}: activate {:>8} square {:>10} pebble {:>8} changed={}\n",
+            "  iter {:>3}: activate {:>8} square {:>10} pebble {:>8} changed={} \
+             us: activate {:.1} square {:.1} pebble {:.1}\n",
             r.iteration,
             r.activate.candidates,
             r.square.candidates,
             r.pebble.candidates,
             r.pebble.changed,
+            us(r.activate.nanos),
+            us(r.square.nanos),
+            us(r.pebble.nanos),
         ));
     }
 }
@@ -700,6 +705,7 @@ mod tests {
     fn trace_flag_prints_iterations() {
         let out = run_line("solve --trace chain 3,5,7,2,8").unwrap();
         assert!(out.contains("iter   1"), "{out}");
+        assert!(out.contains("us: activate"), "{out}");
     }
 
     #[test]

@@ -784,8 +784,9 @@ mod pool {
     //! consecutive blocks; workers and the submitting thread repeatedly
     //! claim the next block index and run the region body on it.
 
+    use std::any::Any;
     use std::ops::Range;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -811,6 +812,9 @@ mod pool {
         finished: AtomicUsize,
         /// Whether any block body panicked.
         poisoned: AtomicBool,
+        /// The first panicking block's payload, re-raised by the submitter
+        /// so the original message reaches the caller.
+        payload: Mutex<Option<Box<dyn Any + Send>>>,
         /// Completion signal.
         done: Mutex<bool>,
         done_cv: Condvar,
@@ -846,7 +850,9 @@ mod pool {
                 // submitter is still inside `run_blocks` (it waits for
                 // `finished == blocks`), keeping the pointee alive.
                 let body = unsafe { &*self.body };
-                if catch_unwind(AssertUnwindSafe(|| body(start..end, &mut acc))).is_err() {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(start..end, &mut acc)))
+                {
+                    crate::fault::unpoison(self.payload.lock()).get_or_insert(payload);
                     self.poisoned.store(true, Ordering::Release);
                 }
                 let done = self.finished.fetch_add(1, Ordering::AcqRel) + 1;
@@ -923,7 +929,8 @@ mod pool {
     /// callers whose items are individually too cheap to schedule.
     ///
     /// # Panics
-    /// Re-raises (as a panic) any panic that occurred inside `body`.
+    /// Re-raises the first panic that occurred inside `body`, with its
+    /// original payload.
     pub(super) fn run_blocks<R: Send>(
         workers: usize,
         items: usize,
@@ -969,6 +976,7 @@ mod pool {
             items,
             finished: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
+            payload: Mutex::new(None),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             max_participants: workers,
@@ -993,7 +1001,8 @@ mod pool {
             queue.retain(|j| !Arc::ptr_eq(j, &job));
         }
         if job.poisoned.load(Ordering::Acquire) {
-            panic!("a parallel region panicked in a pool worker");
+            let payload = crate::fault::unpoison(job.payload.lock()).take();
+            resume_unwind(payload.expect("a panicking block stores its payload before the flag"));
         }
         slots
             .into_iter()
@@ -1353,6 +1362,8 @@ mod tests {
                 i
             })
         });
-        assert!(result.is_err());
+        // The worker's own payload is re-raised, not a generic message.
+        let payload = result.unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 }

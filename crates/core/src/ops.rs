@@ -20,15 +20,30 @@
 //! exclusive-write discipline), so every backend computes identical
 //! tables.
 //!
-//! The dense squares ([`a_square_dense`], [`a_square_rytter`]) come in two
-//! interchangeable kernels selected by [`SquareStrategy`]: the naive
-//! row-major reference and a cache-blocked kernel that walks cells and
-//! intermediate ranges in tiles over the flattened `pw` matrix. The
-//! banded square ([`a_square_banded`]) mirrors this with a per-cell
-//! naive reference and a flat-slice streamed kernel over the
-//! eccentricity-block layout of [`BandedPw`]. Either way, both kernels
-//! enumerate exactly the same candidate set, so tables and [`OpStats`] are
-//! identical; only the memory access order differs.
+//! The squares ([`a_square_dense`], [`a_square_banded`],
+//! [`a_square_rytter`]) come in two interchangeable kernels selected by
+//! [`SquareStrategy`]: a naive per-cell reference and a streaming kernel.
+//! Both enumerate exactly the same candidate set, so tables and
+//! [`OpStats`] are identical; only the memory access order differs.
+//!
+//! The restricted squares' streaming kernels are *gather-free*: every
+//! composition candidate is one step of a contiguous min-plus run
+//! ([`Weight::relax`] over two slices).
+//!
+//! * **Flush vectors.** The second factor of a composition through an
+//!   intermediate gap `(x, y)` is a cell of row `(x, y)` whose gap shares
+//!   an endpoint with `(x, y)`. In the table those cells sit at a stride.
+//!   Once per op, each pair's *left-flush* cells (gaps `(x, q)`) and
+//!   *right-flush* cells (gaps `(p, y)`) are copied into short contiguous
+//!   vectors, which costs `O(n^3)` values against the square's `O(n^5)`
+//!   work. The dense kernel needs only the right-flush ones: its
+//!   left-flush cells are already one segment of the row.
+//! * **Transposed accumulators.** The cells a run updates are strided in
+//!   the output row too. The kernels therefore accumulate into small
+//!   per-row scratch arrays laid out so the run is contiguous: a
+//!   `p`-indexed column per right endpoint in the dense kernel, and
+//!   lag-major `[L][R]` and `[R][L]` arrays in the banded kernel. The
+//!   scratch is folded into the output row once per column or row.
 //!
 //! The `*_scheduled` variants ([`a_square_dense_scheduled`],
 //! [`a_square_banded_scheduled`], [`a_pebble_dense_scheduled`],
@@ -81,31 +96,37 @@ impl OpStats {
 // Square kernel selection
 // ---------------------------------------------------------------------------
 
-/// How the dense square kernels enumerate their composition candidates.
+/// How the square kernels enumerate their composition candidates.
 ///
 /// Every strategy examines exactly the same candidate set and produces
 /// bit-identical tables and identical [`OpStats`]; they differ only in
 /// memory access order, and therefore speed. The naive order gathers one
 /// cell's intermediates from `O(n)` different rows of the `P x P` matrix,
-/// so nearly every read misses cache once the matrix outgrows it; the
-/// blocked kernels keep a tile of intermediate rows hot and stream the
-/// contiguous cell segments that share a left endpoint.
+/// so nearly every read misses cache once the matrix outgrows it. Every
+/// other strategy selects the gather-free streaming kernel (see the
+/// [module docs](self)): every candidate family is a contiguous
+/// min-plus run, over flush vectors and transposed accumulators where
+/// the table's own layout is strided. In the dense square the tile edge
+/// of `Tiled(t)` blocks only the `s`-family, whose runs share a left
+/// endpoint; the `r`-family and the banded kernel need no tiling, since
+/// their scratch is one column or two arrays the size of a banded row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SquareStrategy {
     /// The reference row-major triple loop over `(p, q)` cells.
     Naive,
-    /// Cache-blocked kernel with an explicit tile edge, in pairs.
-    /// `Tiled(0)` behaves like [`SquareStrategy::Auto`].
+    /// Streaming kernel with an explicit tile edge, in pairs, for the
+    /// dense `s`-family. `Tiled(0)` behaves like [`SquareStrategy::Auto`].
     Tiled(usize),
-    /// Cache-blocked kernel with the tile edge picked from the row
-    /// length (the default).
+    /// Streaming kernel with the tile edge picked from the row length
+    /// (the default).
     #[default]
     Auto,
 }
 
 impl SquareStrategy {
-    /// The auto-picked tile edge: 64 pairs keeps a 64x64 `u64` tile of
-    /// intermediate rows (32 KiB) inside a typical L1 data cache.
+    /// The auto-picked tile edge: 64 pairs keeps the `s`-family's output
+    /// segment and a 64-wide block of intermediates inside a typical L1
+    /// data cache.
     pub const AUTO_TILE: usize = 64;
 
     /// The tile edge to use for rows of `dim` pairs, or `None` for the
@@ -285,15 +306,21 @@ pub fn a_square_dense_scheduled<W: Weight>(
         prev: prev.as_slice(),
         dim,
     };
-    let tile = strategy.tile_for(dim);
+    // The gather-free kernel reads the r-family's second factors from
+    // right-flush vectors copied out of `prev` once per op (not at all
+    // when every row is a copy).
+    let tiled = strategy
+        .tile_for(dim)
+        .filter(|_| !all_rows_skipped(skip))
+        .map(|t| (t, dense_right_flush(prev, exec)));
     let process_row = |a: usize, next_row: &mut [W]| -> (OpStats, bool) {
         if skip.is_some_and(|mask| mask[a]) {
             next_row.copy_from_slice(ctx.prev_row(a));
             return (OpStats::default(), false);
         }
-        let stats = match tile {
+        let stats = match &tiled {
             None => square_row_naive(&ctx, a, next_row),
-            Some(t) => square_row_tiled(&ctx, a, next_row, t),
+            Some((t, rf)) => square_row_tiled(&ctx, rf, a, next_row, *t),
         };
         (stats, stats.changed)
     };
@@ -309,6 +336,12 @@ pub fn a_square_dense_scheduled<W: Weight>(
         OpStats::default,
         OpStats::merge,
     )
+}
+
+/// Whether a square's skip mask turns every row into a copy, so no row
+/// runs a kernel.
+fn all_rows_skipped(skip: Option<&[bool]>) -> bool {
+    skip.is_some_and(|mask| mask.iter().all(|&s| s))
 }
 
 /// Shared read-side context of one dense-square row computation.
@@ -361,27 +394,102 @@ fn square_row_naive<W: Weight>(ctx: &SquareCtx<'_, W>, a: usize, next_row: &mut 
     stats
 }
 
-/// Cache-blocked kernel: identical candidate set, tile-ordered.
+/// Per-pair *flush vectors* of one square's input table: for every pair
+/// `c`, a short contiguous copy of the cells of row `c` that the square's
+/// compositions read as second factors, packed back to back.
 ///
-/// The two candidate families are walked separately, each blocked into
-/// `tile`-sized index ranges:
+/// In the table itself those cells sit at a stride (a gather across the
+/// row, or down a column of the `P x P` matrix); copied out once per op —
+/// `O(n^3)` values against the dense square's `O(n^5)` work, `O(n^2 B)`
+/// against the banded square's `O(n^2 B^3)` — they make every candidate
+/// family of the kernels a contiguous min-plus run.
+struct FlushVectors<W> {
+    /// `data[spans[c].0..spans[c].1]` is the vector of pair `c`.
+    spans: Vec<(usize, usize)>,
+    data: Vec<W>,
+}
+
+impl<W: Weight> FlushVectors<W> {
+    /// Lay out one vector per pair, of the length `lens` yields for it,
+    /// and fill each with `fill(c, vector)`, in parallel over pairs.
+    fn build(
+        lens: impl Iterator<Item = usize>,
+        fill: impl Fn(usize, &mut [W]) + Sync,
+        exec: &ExecBackend,
+    ) -> Self {
+        let mut spans = Vec::new();
+        let mut end = 0;
+        for len in lens {
+            spans.push((end, end + len));
+            end += len;
+        }
+        let mut data = vec![W::INFINITY; end];
+        exec.map_reduce_rows_mut(&mut data, &spans, &fill, || (), |_, _| ());
+        FlushVectors { spans, data }
+    }
+
+    #[inline]
+    fn get(&self, c: usize) -> &[W] {
+        let (start, end) = self.spans[c];
+        &self.data[start..end]
+    }
+}
+
+/// The dense right-flush vectors: for pair `c = (r, q)`,
+/// `rf[c][p - r - 1] = pw'(r, q, p, q)` for `r < p < q` — the cells of
+/// row `c` whose gap shares its right endpoint, which the `r`-family
+/// reads as second factors.
+fn dense_right_flush<W: Weight>(prev: &DensePw<W>, exec: &ExecBackend) -> FlushVectors<W> {
+    let idx = prev.indexer();
+    let n = idx.n();
+    let dim = prev.dim();
+    let data = prev.as_slice();
+    FlushVectors::build(
+        idx.pairs().map(|(r, q)| q - r - 1),
+        |c, out: &mut [W]| {
+            // Adjacent pairs (r, r + 1) have no nested gap to flush.
+            if out.is_empty() {
+                return;
+            }
+            let (r, q) = idx.pair(c);
+            let row = &data[c * dim..(c + 1) * dim];
+            let mut b = idx.index(r + 1, q);
+            for (p, cell) in (r + 1..q).zip(out.iter_mut()) {
+                *cell = row[b];
+                // Pair index of (p + 1, q): one lexicographic block of
+                // n - p - 1 pairs further on.
+                b += n - p - 1;
+            }
+        },
+        exec,
+    )
+}
+
+/// Gather-free kernel: identical candidate set, every candidate family a
+/// contiguous min-plus run.
 ///
 /// * **`s`-family** (intermediates `(p, s)` sharing the cell's left
 ///   endpoint): for a fixed `p`, both the cells `(p, q)` and the
 ///   intermediates `(p, s)` live in one contiguous segment of pair space,
-///   so for each intermediate the updated cells form a contiguous slice —
-///   one streaming pass per `(s, q)` block instead of per-cell gathers.
+///   and so do the second factors `pw'(p,s,p,q)` in row `(p, s)` — one
+///   streaming pass per intermediate, blocked over `(s, q)` into
+///   `tile`-sized ranges so the output segment stays cache-hot.
 /// * **`r`-family** (intermediates `(r, q)` sharing the cell's right
-///   endpoint): blocked over `(p, r)` so that the `tile` intermediate
-///   rows claimed by an `r`-block stay cache-hot while the `p`-block
-///   sweeps them, accumulating each cell in a register.
+///   endpoint): the cells `(p, q)` of one right endpoint are strided in
+///   the row and their second factors `pw'(r,q,p,q)` lie down a column
+///   of the matrix. The kernel instead accumulates them in a `p`-indexed
+///   scratch column per `q`: each intermediate relaxes the run
+///   `p = r+1 .. q` against its right-flush vector (see
+///   [`dense_right_flush`]), and the column is folded into `next_row`
+///   once per `q`.
 ///
-/// Rows whose stored partial weight is still infinite contribute no
-/// finite candidate, so their compositions are counted in bulk and the
-/// matrix reads skipped — a large win in the early iterations when most
-/// of `pw` is unreached.
+/// Intermediates whose stored partial weight is still infinite
+/// contribute no finite candidate, so their compositions are counted in
+/// bulk and the reads skipped — a large win in the early iterations when
+/// most of `pw` is unreached.
 fn square_row_tiled<W: Weight>(
     ctx: &SquareCtx<'_, W>,
+    rf: &FlushVectors<W>,
     a: usize,
     next_row: &mut [W],
     tile: usize,
@@ -418,10 +526,7 @@ fn square_row_tiled<W: Weight>(
                     let b1 = base + (q_hi - p - 1);
                     let crow = &ctx.prev[c * ctx.dim..];
                     for (cell, &step) in next_row[b0..=b1].iter_mut().zip(&crow[b0..=b1]) {
-                        let cand = vs.add(step);
-                        if cand < *cell {
-                            *cell = cand;
-                        }
+                        *cell = W::relax(*cell, vs, step);
                     }
                 }
                 q0 = q1 + 1;
@@ -431,36 +536,32 @@ fn square_row_tiled<W: Weight>(
     }
 
     // r-family: cells (p, q) gather intermediates (r, q), i <= r < p.
+    // `column[p - i - 1]` accumulates cell (p, q) for i < p < q.
+    let mut column = vec![W::INFINITY; (j - i).saturating_sub(1)];
     for q in i + 2..=j {
-        let mut r0 = i;
-        while r0 + 1 < q {
-            let r1 = (r0 + t - 1).min(q - 2);
-            let c_base = ctx.idx.index(r0, q);
-            let mut p0 = r0 + 1;
-            while p0 < q {
-                let p1 = (p0 + t - 1).min(q - 1);
-                let mut b = ctx.idx.index(p0, q);
-                for p in p0..=p1 {
-                    let r_hi = r1.min(p - 1);
-                    stats.candidates += (r_hi - r0 + 1) as u64;
-                    let mut acc = next_row[b];
-                    let mut c = c_base;
-                    for r in r0..=r_hi {
-                        let vr = prev_row[c];
-                        if vr.is_finite_cost() {
-                            acc = acc.min2(vr.add(ctx.prev[c * ctx.dim + b]));
-                        }
-                        // Pair index of (r + 1, q): one lexicographic
-                        // block of n - r - 1 pairs further on.
-                        c += n - r - 1;
-                    }
-                    next_row[b] = acc;
-                    // Likewise b advances to the pair index of (p + 1, q).
-                    b += n - p - 1;
+        let column = &mut column[..q - i - 1];
+        column.fill(W::INFINITY);
+        let mut touched = false;
+        let mut c = ctx.idx.index(i, q);
+        for r in i..q - 1 {
+            stats.candidates += (q - r - 1) as u64;
+            let vr = prev_row[c];
+            if vr.is_finite_cost() {
+                touched = true;
+                for (cell, &step) in column[r - i..].iter_mut().zip(rf.get(c)) {
+                    *cell = W::relax(*cell, vr, step);
                 }
-                p0 = p1 + 1;
             }
-            r0 = r1 + 1;
+            // Pair index of (r + 1, q).
+            c += n - r - 1;
+        }
+        if touched {
+            let mut b = ctx.idx.index(i + 1, q);
+            for (p, &best) in (i + 1..q).zip(column.iter()) {
+                next_row[b] = next_row[b].min2(best);
+                // Pair index of (p + 1, q).
+                b += n - p - 1;
+            }
         }
     }
 
@@ -829,13 +930,14 @@ pub fn a_square_banded<W: Weight>(
 ///
 /// * `strategy` selects the kernel: [`SquareStrategy::Naive`] is the
 ///   definitional per-cell gather through the [`BandedPw::get`] accessor;
-///   every other strategy selects the flat-slice streamed kernel
-///   (`banded_square_row_streamed`). As with Rytter's square, the tile
-///   edge needs no further subdivision here: a banded row holds at most
-///   `(B+1)(B+2)/2` cells, so the streamed kernel's whole per-intermediate
-///   footprint (the root row, the intermediate's row, and the output row)
-///   already fits in cache. All strategies enumerate exactly the same
-///   candidate set and produce bit-identical tables and [`OpStats`].
+///   every other strategy selects the gather-free streamed kernel
+///   (`banded_square_row_streamed`). The tile edge needs no further
+///   subdivision here: a banded row holds at most `(B+1)(B+2)/2` cells,
+///   so the streamed kernel's per-row working set (the root row, two
+///   accumulators of the same size, and one intermediate's flush vectors
+///   at a time) already fits in cache. All strategies enumerate exactly the
+///   same candidate set and produce bit-identical tables and
+///   [`OpStats`].
 /// * `skip`, if given, marks rows whose **inputs** did not change since
 ///   the previous square (row `(i,j)` reads only rows nested in `(i,j)`);
 ///   such rows are copied from `prev` instead of recomputed and report
@@ -853,17 +955,22 @@ pub fn a_square_banded_scheduled<W: Weight>(
     // Hoisted per-op tables (see `a_activate_banded_tracked`).
     let pairs: Vec<(usize, usize)> = idx.pairs().collect();
     let spans: Vec<(usize, usize)> = (0..idx.len()).map(|a| next.row_span(a)).collect();
-    let streamed = strategy.tile_for(idx.len()).is_some();
+    // The streamed kernel reads both roles' second factors from flush
+    // vectors copied out of `prev` once per op (not at all when every
+    // row is a copy).
+    let flush = strategy
+        .tile_for(idx.len())
+        .filter(|_| !all_rows_skipped(skip))
+        .map(|_| banded_flush(prev, exec));
     let process_row = |a: usize, next_row: &mut [W]| -> (OpStats, bool) {
         if skip.is_some_and(|mask| mask[a]) {
             next_row.copy_from_slice(prev.row(a));
             return (OpStats::default(), false);
         }
         let (i, j) = pairs[a];
-        let stats = if streamed {
-            banded_square_row_streamed(prev, a, i, j, next_row)
-        } else {
-            banded_square_row_naive(prev, a, i, j, next_row)
+        let stats = match &flush {
+            Some(flush) => banded_square_row_streamed(prev, flush, a, i, j, next_row),
+            None => banded_square_row_naive(prev, a, i, j, next_row),
         };
         (stats, stats.changed)
     };
@@ -931,37 +1038,68 @@ fn banded_square_row_naive<W: Weight>(
     stats
 }
 
-/// Flat-slice streamed kernel: intermediate-major enumeration over the
-/// eccentricity-block layout, exactly the candidate set of the naive
-/// kernel.
+/// The banded flush vectors: for pair `c = (x, y)` with
+/// `e = emax(y - x)`, `2e` cells `[left | right]` with
+///
+/// * `left[t - 1] = pw'(x, y, x, y - t)`, the *first* cell of
+///   eccentricity block `t` (the `s`-role's second factors), and
+/// * `right[u - 1] = pw'(x, y, x + u, y)`, the *last* cell of block `u`
+///   (the `r`-role's second factors),
+///
+/// for `t, u = 1 ..= e`. In the row both sit at triangular offsets.
+fn banded_flush<W: Weight>(prev: &BandedPw<W>, exec: &ExecBackend) -> FlushVectors<W> {
+    let idx = prev.indexer();
+    FlushVectors::build(
+        idx.pairs().map(|(x, y)| 2 * prev.emax(y - x)),
+        |c, out: &mut [W]| {
+            let row = prev.row(c);
+            let (left, right) = out.split_at_mut(out.len() / 2);
+            for (t, (l, r)) in left.iter_mut().zip(right.iter_mut()).enumerate() {
+                let block = BandedPw::<W>::block_offset(t + 1);
+                *l = row[block];
+                *r = row[block + t + 1];
+            }
+        },
+        exec,
+    )
+}
+
+/// Start of row `l` in a triangular array of `w` rows whose row `l`
+/// holds the `w - l` cells `[l][0 ..= w - 1 - l]`; `tri_row(w, w)` is
+/// the array's length.
+#[inline]
+fn tri_row(w: usize, l: usize) -> usize {
+    l * (2 * w + 1 - l) / 2
+}
+
+/// Gather-free streamed kernel: intermediate-major enumeration, exactly
+/// the candidate set of the naive kernel, every candidate family a
+/// contiguous min-plus run.
 ///
 /// For a root row `(i, j)` every §5 composition factors through an
-/// intermediate gap `(x, y)` that shares an endpoint with the updated
-/// cell. Instead of gathering, per cell, both factors through the
-/// [`BandedPw::get`] offset arithmetic, this kernel walks the in-band
-/// gaps `(x, y)` of the root once, `x`-major — so the intermediates'
-/// table rows are visited in ascending, mostly contiguous memory order —
-/// and plays each gap's two roles against **three resident slices**:
+/// in-band intermediate gap `(x, y)` of the root that shares an endpoint
+/// with the updated cell. The kernel walks those gaps once, `x`-major,
+/// and plays each gap's two roles against the gap's flush vectors (see
+/// [`banded_flush`]). Name a cell `(p, q)` of the root by its lags
+/// `L = p - i` and `R = j - q`; it is in band iff `L + R <= emax`, and
+/// its row position is `block_offset(L + R) + L`.
 ///
-/// * the root row `prev.row(a)` (first factors, read at precomputed
-///   block offsets);
-/// * the intermediate's own row `prev.row(index(x, y))` (second factors:
-///   `pw'(x,y,x,q)` is the *first* cell of block `y - q`, `pw'(x,y,p,y)`
-///   the *last* cell of block `p - x`);
-/// * the output row `next_row` (min-accumulated in place).
+/// * **`s`-role** — cells `(x, q)` sharing the left endpoint have one
+///   `L` and consecutive `R`, so they are one run of a lag-major
+///   `[L][R]` scratch, relaxed against the gap's left-flush vector.
+/// * **`r`-role** — cells `(p, y)` sharing the right endpoint have one
+///   `R` and consecutive `L`: one run of an `[R][L]` scratch, relaxed
+///   against the right-flush vector.
 ///
-/// Each slice holds at most `(B+1)(B+2)/2` cells, so the working set per
-/// intermediate is three cache-resident rows — no per-cell indexer calls,
-/// no bounds/band checks, and intermediates whose partial weight is still
-/// infinite are counted in bulk and skipped without touching their row
-/// (most of the table, in the early iterations).
-// The hand-maintained counters (`c`, `u`, `e_cell`) are the point of the
-// kernel: each advances by a data-dependent recurrence, which the
-// iterator forms clippy suggests cannot express without reintroducing
-// the per-candidate multiplies this kernel removes.
-#[allow(clippy::explicit_counter_loop)]
+/// Both scratches start at `INFINITY` and are merged into `next_row`
+/// once per row. Each holds one cell per in-band lag pair, as many as the
+/// row, so the working set stays cache-resident; no per-cell indexer
+/// calls or band checks survive, and
+/// intermediates whose partial weight is still infinite are counted in
+/// bulk and skipped (most of the table, in the early iterations).
 fn banded_square_row_streamed<W: Weight>(
     prev: &BandedPw<W>,
+    flush: &FlushVectors<W>,
     a: usize,
     i: usize,
     j: usize,
@@ -970,17 +1108,23 @@ fn banded_square_row_streamed<W: Weight>(
     let band = prev.band();
     let idx = prev.indexer();
     let d = j - i;
+    let emax = prev.emax(d);
     let prev_row = prev.row(a);
-    next_row.copy_from_slice(prev_row);
     let mut stats = OpStats::default();
+    // Triangular lag-major scratches, `by_left[tri_row(w, L) + R]` and
+    // `by_right[tri_row(w, R) + L]`, allocated at the first finite
+    // intermediate: most rows of the early iterations have none.
+    let w = emax + 1;
+    let half = tri_row(w, w);
+    let mut scratch: Vec<W> = Vec::new();
     // In-band gaps (x, y) of the root need y - x >= d - band.
     let x_hi = (j - 1).min(i + band);
     for x in i..=x_hi {
+        let lag_l = x - i;
         let y_lo = (x + 1).max((x + d).saturating_sub(band));
-        // Pair indices of (x, y) for consecutive y are consecutive, so
-        // the intermediate rows stream forward in memory.
-        let mut c = idx.index(x, y_lo);
-        for y in y_lo..=j {
+        // Pair indices of (x, y) for consecutive y are consecutive.
+        for (c, y) in (idx.index(x, y_lo)..).zip(y_lo..=j) {
+            let lag_r = j - y;
             // Cells reached through this intermediate (empty ranges
             // clamp to zero):
             // * s-role — cells (x, q) sharing the left endpoint, with
@@ -996,65 +1140,50 @@ fn banded_square_row_streamed<W: Weight>(
             let p_hi = (y - 1).min(y + band - d).min(x + band);
             let r_cells = p_hi.saturating_sub(x);
             stats.candidates += (s_cells + r_cells) as u64;
-            let e_int = d - (y - x);
-            let v = prev_row[BandedPw::<W>::block_offset(e_int) + (x - i)];
+            let v = prev_row[BandedPw::<W>::block_offset(lag_l + lag_r) + lag_l];
             if v.is_finite_cost() && s_cells + r_cells > 0 {
-                let crow = prev.row(c);
-                // Both walks keep their positions incrementally: a block
-                // offset moves between adjacent eccentricities by the
-                // eccentricity itself (tri(e+1) = tri(e) + e + 1), so no
-                // per-candidate multiplies survive.
-                //
-                // s-role: pw'(i,j,x,y) + pw'(x,y,x,q) -> cell (x, q),
-                // q ascending. The step factor sits at block_offset(y-q)
-                // of the intermediate's row, the cell at
-                // block_offset(d - (q-x)) + (x-i) of the root row.
-                if s_cells > 0 {
-                    let mut t = y - q_lo;
-                    let mut step_pos = BandedPw::<W>::block_offset(t);
-                    let mut e_cell = d - (q_lo - x);
-                    let mut cell_pos = BandedPw::<W>::block_offset(e_cell) + (x - i);
-                    for _ in 0..s_cells {
-                        let cand = v.add(crow[step_pos]);
-                        let cell = &mut next_row[cell_pos];
-                        if cand < *cell {
-                            *cell = cand;
-                        }
-                        step_pos -= t;
-                        t -= 1;
-                        cell_pos -= e_cell;
-                        e_cell -= 1;
-                    }
+                if scratch.is_empty() {
+                    scratch = vec![W::INFINITY; 2 * half];
                 }
-                // r-role: pw'(i,j,x,y) + pw'(x,y,p,y) -> cell (p, y),
-                // p ascending. The step factor is the last cell of block
-                // (p-x) of the intermediate's row, the cell at
-                // block_offset(d - (y-p)) + (p-i) of the root row.
-                let mut u = 1usize;
-                let mut step_pos = 2usize; // block_offset(1) + 1
-                let mut e_cell = d - (y - x - 1);
-                let mut cell_pos = BandedPw::<W>::block_offset(e_cell) + (x + 1 - i);
-                for _ in 0..r_cells {
-                    let cand = v.add(crow[step_pos]);
-                    let cell = &mut next_row[cell_pos];
-                    if cand < *cell {
-                        *cell = cand;
-                    }
-                    step_pos += u + 2;
-                    u += 1;
-                    cell_pos += e_cell + 2;
-                    e_cell += 1;
+                let (by_left, by_right) = scratch.split_at_mut(half);
+                let vectors = flush.get(c);
+                let (left, right) = vectors.split_at(vectors.len() / 2);
+                // s-role: pw'(i,j,x,y) + pw'(x,y,x,y-t) -> cell (x, y-t),
+                // whose lags are (L, R + t), for t = 1 ..= s_cells.
+                let run = &mut by_left[tri_row(w, lag_l) + lag_r + 1..][..s_cells];
+                for (cell, &step) in run.iter_mut().zip(left) {
+                    *cell = W::relax(*cell, v, step);
+                }
+                // r-role: pw'(i,j,x,y) + pw'(x,y,x+u,y) -> cell (x+u, y),
+                // whose lags are (L + u, R), for u = 1 ..= r_cells.
+                let run = &mut by_right[tri_row(w, lag_r) + lag_l + 1..][..r_cells];
+                for (cell, &step) in run.iter_mut().zip(right) {
+                    *cell = W::relax(*cell, v, step);
                 }
             }
-            c += 1;
         }
     }
-    // Writes = cells that improved; min-accumulation is monotone, so
-    // "differs from prev" and "improved" coincide (cf. the naive kernel's
-    // best < old test).
-    for (new, old) in next_row.iter().zip(prev_row) {
-        if new != old {
-            stats.writes += 1;
+    if scratch.is_empty() {
+        next_row.copy_from_slice(prev_row);
+        return stats;
+    }
+    // Merge in storage order (eccentricity blocks, then L). Writes =
+    // cells that improved; min-accumulation is monotone, so "differs from
+    // prev" and "improved" coincide (cf. the naive kernel's best < old).
+    let (by_left, by_right) = scratch.split_at(half);
+    let mut pos = 0;
+    for e in 0..=emax {
+        for lag_l in 0..=e {
+            let lag_r = e - lag_l;
+            let old = prev_row[pos];
+            let new = old
+                .min2(by_left[tri_row(w, lag_l) + lag_r])
+                .min2(by_right[tri_row(w, lag_r) + lag_l]);
+            if new != old {
+                stats.writes += 1;
+            }
+            next_row[pos] = new;
+            pos += 1;
         }
     }
     stats.changed = stats.writes > 0;

@@ -41,7 +41,7 @@ use crate::ops::{
 use crate::problem::DpProblem;
 use crate::solver::{Algorithm, Solution};
 use crate::tables::{BandedPw, WTable};
-use crate::trace::{IterationRecord, SolveTrace, StopReason};
+use crate::trace::{time_op, IterationRecord, OpRecord, SolveTrace, StopReason};
 use crate::weight::Weight;
 
 /// Configuration of [`solve_reduced`].
@@ -181,7 +181,10 @@ fn solve_seeded<W: Weight, P: DpProblem<W> + ?Sized>(
             trace.stop = StopReason::DeadlineExceeded;
             break;
         }
-        let (act, activate_changed_rows) = a_activate_banded_tracked(problem, &w, &mut pw, exec);
+        let timed = config.record_trace;
+        let ((act, activate_changed_rows), act_ns) = time_op(timed, || {
+            a_activate_banded_tracked(problem, &w, &mut pw, exec)
+        });
         // Square row (i,j) reads the pw rows nested in (i,j): unchanged
         // since the previous square iff neither the previous square nor
         // this activate touched them (the dense solver's rule; the
@@ -199,8 +202,9 @@ fn solve_seeded<W: Weight, P: DpProblem<W> + ?Sized>(
         } else {
             None
         };
-        let (sq, sq_rows) =
-            a_square_banded_scheduled(&pw, &mut pw_next, config.square, square_skip, exec);
+        let ((sq, sq_rows), sq_ns) = time_op(timed, || {
+            a_square_banded_scheduled(&pw, &mut pw_next, config.square, square_skip, exec)
+        });
         square_changed_rows = sq_rows;
         std::mem::swap(&mut pw, &mut pw_next);
         // Size window for iterations 2l-1 and 2l: (l-1)^2 < j-i <= l^2.
@@ -242,8 +246,9 @@ fn solve_seeded<W: Weight, P: DpProblem<W> + ?Sized>(
         } else {
             None
         };
-        let (pb, pb_pairs) =
-            a_pebble_banded_scheduled(problem, &pw, &w, &mut w_next, window, pebble_skip, exec);
+        let ((pb, pb_pairs), pb_ns) = time_op(timed, || {
+            a_pebble_banded_scheduled(problem, &pw, &w, &mut w_next, window, pebble_skip, exec)
+        });
         std::mem::swap(&mut w, &mut w_next);
         if config.skip_clean_rows {
             // Pairs the window admitted and the skip mask did not veto
@@ -263,9 +268,9 @@ fn solve_seeded<W: Weight, P: DpProblem<W> + ?Sized>(
         if config.record_trace {
             trace.per_iteration.push(IterationRecord {
                 iteration: iter,
-                activate: act.into(),
-                square: sq.into(),
-                pebble: pb.into(),
+                activate: OpRecord::timed(act, act_ns),
+                square: OpRecord::timed(sq, sq_ns),
+                pebble: OpRecord::timed(pb, pb_ns),
                 root_finite: w.root().is_finite_cost(),
             });
         }

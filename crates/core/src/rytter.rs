@@ -16,7 +16,7 @@ use crate::ops::{a_activate_dense, a_pebble_dense, a_square_rytter_with, OpStats
 use crate::problem::DpProblem;
 use crate::solver::{Algorithm, Solution};
 use crate::tables::{DensePw, WTable};
-use crate::trace::{IterationRecord, SolveTrace, StopReason};
+use crate::trace::{time_op, IterationRecord, OpRecord, SolveTrace, StopReason};
 use crate::weight::Weight;
 
 /// Configuration of [`solve_rytter`].
@@ -97,10 +97,13 @@ pub(crate) fn solve_rytter_cancel<W: Weight, P: DpProblem<W> + ?Sized>(
             trace.stop = StopReason::DeadlineExceeded;
             break;
         }
-        let act = a_activate_dense(problem, &w, &mut pw, exec);
-        let sq = a_square_rytter_with(&pw, &mut pw_next, config.square, exec);
+        let timed = config.record_trace;
+        let (act, act_ns) = time_op(timed, || a_activate_dense(problem, &w, &mut pw, exec));
+        let (sq, sq_ns) = time_op(timed, || {
+            a_square_rytter_with(&pw, &mut pw_next, config.square, exec)
+        });
         std::mem::swap(&mut pw, &mut pw_next);
-        let pb = a_pebble_dense(&pw, &w, &mut w_next, exec);
+        let (pb, pb_ns) = time_op(timed, || a_pebble_dense(&pw, &w, &mut w_next, exec));
         std::mem::swap(&mut w, &mut w_next);
 
         trace.iterations = iter;
@@ -109,9 +112,9 @@ pub(crate) fn solve_rytter_cancel<W: Weight, P: DpProblem<W> + ?Sized>(
         if config.record_trace {
             trace.per_iteration.push(IterationRecord {
                 iteration: iter,
-                activate: act.into(),
-                square: sq.into(),
-                pebble: pb.into(),
+                activate: OpRecord::timed(act, act_ns),
+                square: OpRecord::timed(sq, sq_ns),
+                pebble: OpRecord::timed(pb, pb_ns),
                 root_finite: w.root().is_finite_cost(),
             });
         }

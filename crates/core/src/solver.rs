@@ -912,6 +912,14 @@ mod tests {
             assert_eq!(sol.stats.candidates, sol.trace.total_candidates, "{algo}");
             assert!(sol.stats.changed, "{algo}");
             assert!(sol.stats.writes > 0, "{algo}");
+            // Traced runs record each op's wall time.
+            let nanos: u64 = sol
+                .trace
+                .per_iteration
+                .iter()
+                .map(|r| r.activate.nanos + r.square.nanos + r.pebble.nanos)
+                .sum();
+            assert!(nanos > 0, "{algo}");
         }
     }
 

@@ -29,7 +29,7 @@ use crate::ops::{
 use crate::problem::DpProblem;
 use crate::solver::Algorithm;
 use crate::tables::{DensePw, WTable};
-use crate::trace::{IterationRecord, SolveTrace, StopReason, Termination};
+use crate::trace::{time_op, IterationRecord, OpRecord, SolveTrace, StopReason, Termination};
 use crate::weight::Weight;
 
 pub use crate::exec::ExecBackend;
@@ -191,7 +191,10 @@ fn solve_seeded<W: Weight, P: DpProblem<W> + ?Sized>(
             trace.stop = StopReason::DeadlineExceeded;
             break;
         }
-        let (act, activate_changed_rows) = a_activate_dense_tracked(problem, &w, &mut pw, exec);
+        let timed = config.record_trace;
+        let ((act, activate_changed_rows), act_ns) = time_op(timed, || {
+            a_activate_dense_tracked(problem, &w, &mut pw, exec)
+        });
         // Row (i,j) of the square reads exactly the rows nested in (i,j)
         // of pw-after-activate. That input row c is unchanged since the
         // previous iteration iff neither the previous square nor this
@@ -209,7 +212,9 @@ fn solve_seeded<W: Weight, P: DpProblem<W> + ?Sized>(
         } else {
             None
         };
-        let (sq, sq_rows) = a_square_dense_scheduled(&pw, &mut pw_next, config.square, skip, exec);
+        let ((sq, sq_rows), sq_ns) = time_op(timed, || {
+            a_square_dense_scheduled(&pw, &mut pw_next, config.square, skip, exec)
+        });
         square_changed_rows = sq_rows;
         std::mem::swap(&mut pw, &mut pw_next);
         // Pebble pair (i,j) reads its pw row (changed iff this
@@ -238,7 +243,9 @@ fn solve_seeded<W: Weight, P: DpProblem<W> + ?Sized>(
         } else {
             None
         };
-        let (pb, pb_pairs) = a_pebble_dense_scheduled(&pw, &w, &mut w_next, pebble_skip, exec);
+        let ((pb, pb_pairs), pb_ns) = time_op(timed, || {
+            a_pebble_dense_scheduled(&pw, &w, &mut w_next, pebble_skip, exec)
+        });
         w_changed_pairs = pb_pairs;
         std::mem::swap(&mut w, &mut w_next);
 
@@ -248,9 +255,9 @@ fn solve_seeded<W: Weight, P: DpProblem<W> + ?Sized>(
         if config.record_trace {
             trace.per_iteration.push(IterationRecord {
                 iteration: iter,
-                activate: act.into(),
-                square: sq.into(),
-                pebble: pb.into(),
+                activate: OpRecord::timed(act, act_ns),
+                square: OpRecord::timed(sq, sq_ns),
+                pebble: OpRecord::timed(pb, pb_ns),
                 root_finite: w.root().is_finite_cost(),
             });
         }

@@ -62,8 +62,13 @@ pub struct IterationRecord {
     pub root_finite: bool,
 }
 
-/// Serializable mirror of [`OpStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// Serializable mirror of [`OpStats`], plus the op's wall time.
+///
+/// `nanos` is a wall-clock reading, not a function of the job: it is left
+/// out of equality and of the serialized form, both of which cover the
+/// reproducible op counts only (traced records of one job stay
+/// bit-identical across backends, runs and front ends).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OpRecord {
     /// Composition candidates examined.
     pub candidates: u64,
@@ -73,6 +78,47 @@ pub struct OpRecord {
     pub writes: u64,
     /// Whether any cell strictly improved.
     pub changed: bool,
+    /// Wall time of the op in nanoseconds, filled by the iterative
+    /// solvers under `record_trace`.
+    pub nanos: u64,
+}
+
+impl OpRecord {
+    /// The record of an op that took `nanos` nanoseconds.
+    pub fn timed(stats: OpStats, nanos: u64) -> Self {
+        OpRecord {
+            nanos,
+            ..stats.into()
+        }
+    }
+}
+
+impl PartialEq for OpRecord {
+    fn eq(&self, other: &Self) -> bool {
+        (self.candidates, self.writes, self.changed)
+            == (other.candidates, other.writes, other.changed)
+    }
+}
+
+impl Serialize for OpRecord {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("candidates".into(), self.candidates.to_value()),
+            ("writes".into(), self.writes.to_value()),
+            ("changed".into(), self.changed.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for OpRecord {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        Ok(OpRecord {
+            candidates: serde::field(v, "candidates")?,
+            writes: serde::field(v, "writes")?,
+            changed: serde::field(v, "changed")?,
+            nanos: 0,
+        })
+    }
 }
 
 impl From<OpStats> for OpRecord {
@@ -81,8 +127,20 @@ impl From<OpStats> for OpRecord {
             candidates: s.candidates,
             writes: s.writes,
             changed: s.changed,
+            nanos: 0,
         }
     }
+}
+
+/// Run `op` and return its result with its wall time in nanoseconds, or
+/// with `0` (and no clock read) when `timed` is false.
+pub(crate) fn time_op<R>(timed: bool, op: impl FnOnce() -> R) -> (R, u64) {
+    if !timed {
+        return (op(), 0);
+    }
+    let t0 = std::time::Instant::now();
+    let out = op();
+    (out, t0.elapsed().as_nanos() as u64)
 }
 
 /// Why the solver stopped.
@@ -211,6 +269,23 @@ mod tests {
     }
 
     #[test]
+    fn op_record_time_stays_out_of_equality_and_json() {
+        let s = OpStats {
+            candidates: 5,
+            writes: 3,
+            changed: true,
+        };
+        let timed = OpRecord::timed(s, 1234);
+        assert_eq!(timed.nanos, 1234);
+        assert_eq!(timed, OpRecord::from(s));
+        let json = serde_json::to_string(&timed).unwrap();
+        assert_eq!(json, serde_json::to_string(&OpRecord::from(s)).unwrap());
+        assert!(!json.contains("nanos"), "{json}");
+        let back: OpRecord = serde_json::from_str(&json).unwrap();
+        assert_eq!((back, back.nanos), (timed, 0));
+    }
+
+    #[test]
     fn work_by_op_sums() {
         let rec = |c| IterationRecord {
             iteration: 1,
@@ -218,16 +293,19 @@ mod tests {
                 candidates: c,
                 writes: 0,
                 changed: false,
+                nanos: 0,
             },
             square: OpRecord {
                 candidates: 2 * c,
                 writes: 0,
                 changed: false,
+                nanos: 0,
             },
             pebble: OpRecord {
                 candidates: 3 * c,
                 writes: 0,
                 changed: false,
+                nanos: 0,
             },
             root_finite: false,
         };
@@ -257,16 +335,19 @@ mod tests {
                 candidates: a,
                 writes: 0,
                 changed: false,
+                nanos: 0,
             },
             square: OpRecord {
                 candidates: s,
                 writes: 0,
                 changed: false,
+                nanos: 0,
             },
             pebble: OpRecord {
                 candidates: p,
                 writes: 0,
                 changed: false,
+                nanos: 0,
             },
             root_finite: false,
         };

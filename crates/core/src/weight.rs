@@ -10,7 +10,9 @@
 //! Implementations are provided for `u64`, `i64` and `f64`. Integer
 //! infinities are `MAX / 4` so that `INFINITY + INFINITY` cannot wrap; any
 //! finite sum that would reach the infinity range saturates (documented
-//! bound on representable costs).
+//! bound on representable costs). The same headroom lets the hot
+//! min-plus loops use [`Weight::relax`], whose integer form adds without
+//! the saturation clamp.
 
 /// A cost value in the tropical semiring used by recurrence (*).
 pub trait Weight:
@@ -32,6 +34,22 @@ pub trait Weight:
         } else {
             self
         }
+    }
+
+    /// One min-plus relaxation, `min(cur, a + b)`: the inner step of
+    /// every `a-square` kernel.
+    ///
+    /// The provided form is `cur.min2(a.add(b))`. The integer impls
+    /// override it with a clamp-free, branch-free `cur.min(a + b)`,
+    /// which is exact under the table invariant that every stored value
+    /// is at most `INFINITY = MAX / 4`: `a + b <= MAX / 2` cannot
+    /// overflow, and a sum at or above `INFINITY` loses to
+    /// `cur <= INFINITY` exactly as the saturated sum would. Callers must
+    /// only pass values that obey the invariant (table cells do: they are
+    /// `ZERO`, `INFINITY`, or results of [`Weight::add`]).
+    #[inline]
+    fn relax(cur: Self, a: Self, b: Self) -> Self {
+        cur.min2(a.add(b))
     }
 
     /// Whether the value is below the infinity threshold.
@@ -61,6 +79,21 @@ impl Weight for u64 {
     }
 
     #[inline]
+    fn relax(cur: u64, a: u64, b: u64) -> u64 {
+        debug_assert!(
+            a <= Self::INFINITY && b <= Self::INFINITY && cur <= Self::INFINITY,
+            "relax needs the INFINITY headroom"
+        );
+        // `cur.min(a + b)`, in a form that vectorizes without a 64-bit
+        // compare (baseline x86-64 has none): both operands are below
+        // 2^63, so their difference is exact as an `i64` and its sign
+        // mask selects `cur` exactly when `cur < a + b`.
+        let sum = a + b;
+        let diff = cur.wrapping_sub(sum) as i64;
+        sum.wrapping_add((diff & (diff >> 63)) as u64)
+    }
+
+    #[inline]
     fn cost_eq(&self, other: &u64) -> bool {
         self == other
     }
@@ -82,6 +115,19 @@ impl Weight for i64 {
         } else {
             s
         }
+    }
+
+    #[inline]
+    fn relax(cur: i64, a: i64, b: i64) -> i64 {
+        debug_assert!(
+            a <= Self::INFINITY && b <= Self::INFINITY && cur <= Self::INFINITY,
+            "relax needs the INFINITY headroom"
+        );
+        // `cur.min(a + b)` by the sign mask of the difference, as for
+        // `u64`; the headroom keeps `cur - (a + b)` from overflowing.
+        let sum = a + b;
+        let diff = cur - sum;
+        sum + (diff & (diff >> 63))
     }
 
     #[inline]
@@ -158,5 +204,37 @@ mod tests {
         let inf = <u64 as Weight>::INFINITY;
         assert_eq!(inf.min2(7), 7);
         assert_eq!(7u64.min2(inf), 7);
+    }
+
+    /// `relax` must equal `min2(add)` wherever the table invariant
+    /// (every value at most `INFINITY`) holds, including the saturation
+    /// boundary.
+    fn relax_matches_min2_add<W: Weight>(values: &[W]) {
+        for &cur in values {
+            for &a in values {
+                for &b in values {
+                    let want = cur.min2(a.add(b));
+                    let got = W::relax(cur, a, b);
+                    assert!(got == want, "relax({cur}, {a}, {b}) = {got}, want {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relax_equals_min2_add_on_boundary_values() {
+        let u = <u64 as Weight>::INFINITY;
+        relax_matches_min2_add::<u64>(&[0, 1, 2, u / 2, u - 2, u - 1, u]);
+        let i = <i64 as Weight>::INFINITY;
+        relax_matches_min2_add::<i64>(&[0, 1, 2, i / 2, i - 2, i - 1, i]);
+        let f = <f64 as Weight>::INFINITY;
+        relax_matches_min2_add::<f64>(&[0.0, 0.5, 1.0, 1e300, f64::MAX, f]);
+        // The saturation boundary itself: a sum reaching INFINITY never
+        // beats a stored INFINITY, and one just below it does.
+        assert_eq!(u64::relax(u, u - 1, 1), u);
+        assert_eq!(u64::relax(u, u - 2, 1), u - 1);
+        assert_eq!(u64::relax(u, u, u), u);
+        assert_eq!(i64::relax(i, i - 1, 1), i);
+        assert_eq!(i64::relax(0, i, i), 0);
     }
 }

@@ -5,8 +5,10 @@
 //!   than the cells it is allowed to store into;
 //! * on fresh tables, `candidates` matches the closed-form count derived
 //!   independently from the operation definitions;
-//! * the tiled and naive dense-square kernels produce bit-identical
-//!   tables and identical stats on every backend.
+//! * the streaming and naive square kernels (dense, banded, Rytter)
+//!   produce bit-identical tables and identical stats on every backend,
+//!   for `u64`, `i64` and `f64` weights, including payloads whose sums
+//!   saturate at `Weight::INFINITY`.
 
 use pardp_core::ops::{
     a_activate_banded, a_activate_banded_tracked, a_activate_dense, a_pebble_banded,
@@ -23,16 +25,72 @@ use proptest::test_runner::TestCaseError;
 
 /// Strategy: a complete instance (init values + f values) for size n.
 fn instance_strategy(n: usize) -> impl Strategy<Value = TabulatedProblem<u64>> {
+    payload_strategy(n, 100)
+}
+
+/// A weight type the parity tests run on: [`Payload::of`] maps a raw
+/// code to a cost. Codes below 100 are small costs; codes 100..120 are
+/// huge ones — near `INFINITY / 2`, so that sums of two land on either
+/// side of `INFINITY`, plus `INFINITY - 1` itself — which drive the
+/// kernels through the saturation boundary.
+trait Payload: Weight {
+    fn of(code: u64) -> Self;
+}
+
+impl Payload for u64 {
+    fn of(code: u64) -> u64 {
+        let inf = <u64 as Weight>::INFINITY;
+        match code {
+            0..100 => code,
+            119 => inf - 1,
+            _ => inf / 2 - 50 + (code - 100) * 8,
+        }
+    }
+}
+
+impl Payload for i64 {
+    fn of(code: u64) -> i64 {
+        let inf = <i64 as Weight>::INFINITY;
+        match code {
+            0..100 => code as i64,
+            119 => inf - 1,
+            _ => inf / 2 - 50 + (code as i64 - 100) * 8,
+        }
+    }
+}
+
+impl Payload for f64 {
+    fn of(code: u64) -> f64 {
+        match code {
+            // Quarter steps: exact, but not integers.
+            0..100 => code as f64 * 0.25,
+            119 => f64::MAX,
+            // Sums of two of these overflow to the f64 infinity.
+            _ => f64::MAX / 2.0 * (1.0 + (code - 100) as f64 / 32.0),
+        }
+    }
+}
+
+/// Strategy: an instance whose init and f values are `W::of(code)` for
+/// codes in `0..codes` (use `codes > 100` for saturating payloads).
+fn payload_strategy<W: Payload>(
+    n: usize,
+    codes: u64,
+) -> impl Strategy<Value = TabulatedProblem<W>> {
     let m = n + 1;
     (
-        proptest::collection::vec(0u64..100, n),
-        proptest::collection::vec(0u64..100, m * m * m),
+        proptest::collection::vec(0u64..codes, n),
+        proptest::collection::vec(0u64..codes, m * m * m),
     )
-        .prop_map(move |(init, f)| TabulatedProblem::new(init, |i, k, j| f[(i * m + k) * m + j]))
+        .prop_map(move |(init, f)| {
+            TabulatedProblem::new(init.into_iter().map(W::of).collect(), |i, k, j| {
+                W::of(f[(i * m + k) * m + j])
+            })
+        })
 }
 
 /// Drive the dense ops for `iters` iterations from the initial state.
-fn warm_dense(p: &TabulatedProblem<u64>, iters: usize) -> (WTable<u64>, DensePw<u64>) {
+fn warm_dense<W: Weight>(p: &TabulatedProblem<W>, iters: usize) -> (WTable<W>, DensePw<W>) {
     let n = p.n();
     let mut w = WTable::new(n);
     for i in 0..n {
@@ -52,11 +110,11 @@ fn warm_dense(p: &TabulatedProblem<u64>, iters: usize) -> (WTable<u64>, DensePw<
 }
 
 /// Drive the banded ops for `iters` iterations from the initial state.
-fn warm_banded(
-    p: &TabulatedProblem<u64>,
+fn warm_banded<W: Weight>(
+    p: &TabulatedProblem<W>,
     band: usize,
     iters: usize,
-) -> (WTable<u64>, BandedPw<u64>) {
+) -> (WTable<W>, BandedPw<W>) {
     let n = p.n();
     let mut w = WTable::new(n);
     for i in 0..n {
@@ -73,6 +131,129 @@ fn warm_banded(
         std::mem::swap(&mut w, &mut w_next);
     }
     (w, pw)
+}
+
+const BACKENDS: [ExecBackend; 3] = [
+    ExecBackend::Sequential,
+    ExecBackend::Parallel,
+    ExecBackend::Threads(3),
+];
+
+/// Dense and Rytter squares of warm tables: every strategy on every
+/// backend matches the naive sequential reference bit for bit.
+fn check_dense_parity<W: Weight>(
+    p: &TabulatedProblem<W>,
+    iters: usize,
+    tile: usize,
+) -> Result<(), TestCaseError> {
+    let (_, pw) = warm_dense(p, iters);
+    let n = p.n();
+    let mut reference = DensePw::new(n);
+    let (base, base_rows) = a_square_dense_scheduled(
+        &pw,
+        &mut reference,
+        SquareStrategy::Naive,
+        None,
+        &ExecBackend::Sequential,
+    );
+    for backend in BACKENDS {
+        for strategy in [
+            SquareStrategy::Naive,
+            SquareStrategy::Auto,
+            SquareStrategy::Tiled(tile),
+        ] {
+            let mut out = DensePw::new(n);
+            let (stats, rows) = a_square_dense_scheduled(&pw, &mut out, strategy, None, &backend);
+            prop_assert_eq!(
+                out.as_slice(),
+                reference.as_slice(),
+                "tables diverge: {} on {}",
+                strategy,
+                backend
+            );
+            prop_assert_eq!(stats, base, "stats diverge: {} on {}", strategy, backend);
+            prop_assert_eq!(
+                &rows,
+                &base_rows,
+                "row flags diverge: {} on {}",
+                strategy,
+                backend
+            );
+        }
+    }
+    // Rytter's streamed kernel against its naive reference.
+    let mut y_ref = DensePw::new(n);
+    let y_base = a_square_rytter_with(
+        &pw,
+        &mut y_ref,
+        SquareStrategy::Naive,
+        &ExecBackend::Sequential,
+    );
+    for backend in [ExecBackend::Sequential, ExecBackend::Threads(3)] {
+        let mut y_out = DensePw::new(n);
+        let y_stats = a_square_rytter_with(&pw, &mut y_out, SquareStrategy::Auto, &backend);
+        prop_assert_eq!(
+            y_out.as_slice(),
+            y_ref.as_slice(),
+            "rytter tables diverge on {}",
+            backend
+        );
+        prop_assert_eq!(y_stats, y_base, "rytter stats diverge on {}", backend);
+    }
+    Ok(())
+}
+
+/// Banded squares of warm tables: every strategy on every backend
+/// matches the naive sequential reference bit for bit. Returns the warm
+/// tables for further checks.
+fn check_banded_parity<W: Weight>(
+    p: &TabulatedProblem<W>,
+    band: usize,
+    iters: usize,
+    tile: usize,
+) -> Result<(WTable<W>, BandedPw<W>), TestCaseError> {
+    let n = p.n();
+    let (w, pw) = warm_banded(p, band, iters);
+    let mut reference = BandedPw::new(n, band);
+    let (base, base_rows) = a_square_banded_scheduled(
+        &pw,
+        &mut reference,
+        SquareStrategy::Naive,
+        None,
+        &ExecBackend::Sequential,
+    );
+    for backend in BACKENDS {
+        for strategy in [
+            SquareStrategy::Naive,
+            SquareStrategy::Auto,
+            SquareStrategy::Tiled(tile),
+        ] {
+            let mut out = BandedPw::new(n, band);
+            let (stats, rows) = a_square_banded_scheduled(&pw, &mut out, strategy, None, &backend);
+            prop_assert_eq!(
+                out.as_slice(),
+                reference.as_slice(),
+                "banded tables diverge: {} on {}",
+                strategy,
+                backend
+            );
+            prop_assert_eq!(
+                stats,
+                base,
+                "banded stats diverge: {} on {}",
+                strategy,
+                backend
+            );
+            prop_assert_eq!(
+                &rows,
+                &base_rows,
+                "banded row flags diverge: {} on {}",
+                strategy,
+                backend
+            );
+        }
+    }
+    Ok((w, pw))
 }
 
 /// `changed == (writes > 0)` and `writes <= cap`.
@@ -97,44 +278,36 @@ proptest! {
         iters in 0usize..4,
         tile in 1usize..90,
     ) {
-        let (_, pw) = warm_dense(&p, iters);
-        let n = p.n();
-        let mut reference = DensePw::new(n);
-        let (base, base_rows) = a_square_dense_scheduled(
-            &pw, &mut reference, SquareStrategy::Naive, None, &ExecBackend::Sequential,
-        );
-        for backend in [
-            ExecBackend::Sequential,
-            ExecBackend::Parallel,
-            ExecBackend::Threads(3),
-        ] {
-            for strategy in [
-                SquareStrategy::Naive,
-                SquareStrategy::Auto,
-                SquareStrategy::Tiled(tile),
-            ] {
-                let mut out = DensePw::new(n);
-                let (stats, rows) =
-                    a_square_dense_scheduled(&pw, &mut out, strategy, None, &backend);
-                prop_assert_eq!(
-                    out.as_slice(), reference.as_slice(),
-                    "tables diverge: {} on {}", strategy, backend
-                );
-                prop_assert_eq!(stats, base, "stats diverge: {} on {}", strategy, backend);
-                prop_assert_eq!(&rows, &base_rows, "row flags diverge: {} on {}", strategy, backend);
-            }
-        }
-        // Rytter's streamed kernel against its naive reference.
-        let mut y_ref = DensePw::new(n);
-        let y_base = a_square_rytter_with(
-            &pw, &mut y_ref, SquareStrategy::Naive, &ExecBackend::Sequential,
-        );
-        for backend in [ExecBackend::Sequential, ExecBackend::Threads(3)] {
-            let mut y_out = DensePw::new(n);
-            let y_stats = a_square_rytter_with(&pw, &mut y_out, SquareStrategy::Auto, &backend);
-            prop_assert_eq!(y_out.as_slice(), y_ref.as_slice(), "rytter tables diverge on {}", backend);
-            prop_assert_eq!(y_stats, y_base, "rytter stats diverge on {}", backend);
-        }
+        check_dense_parity(&p, iters, tile)?;
+    }
+
+    #[test]
+    fn tiled_square_matches_naive_for_i64_and_f64(
+        pi in payload_strategy::<i64>(10, 100),
+        pf in payload_strategy::<f64>(10, 100),
+        iters in 0usize..4,
+        tile in 1usize..90,
+    ) {
+        check_dense_parity(&pi, iters, tile)?;
+        check_dense_parity(&pf, iters, tile)?;
+    }
+
+    #[test]
+    fn square_kernels_match_naive_on_saturating_payloads(
+        pu in payload_strategy::<u64>(10, 120),
+        pi in payload_strategy::<i64>(10, 120),
+        pf in payload_strategy::<f64>(10, 120),
+        iters in 0usize..4,
+        extra_band in 0usize..5,
+        tile in 1usize..90,
+    ) {
+        let band = default_band(10) + extra_band;
+        check_dense_parity(&pu, iters, tile)?;
+        check_dense_parity(&pi, iters, tile)?;
+        check_dense_parity(&pf, iters, tile)?;
+        check_banded_parity(&pu, band, iters, tile)?;
+        check_banded_parity(&pi, band, iters, tile)?;
+        check_banded_parity(&pf, band, iters, tile)?;
     }
 
     #[test]
@@ -277,35 +450,7 @@ proptest! {
         // sequential reference bit for bit.
         let n = p.n();
         let band = default_band(n) + extra_band;
-        let (w, pw) = warm_banded(&p, band, iters);
-        let mut reference = BandedPw::new(n, band);
-        let (base, base_rows) = a_square_banded_scheduled(
-            &pw, &mut reference, SquareStrategy::Naive, None, &ExecBackend::Sequential,
-        );
-        for backend in [
-            ExecBackend::Sequential,
-            ExecBackend::Parallel,
-            ExecBackend::Threads(3),
-        ] {
-            for strategy in [
-                SquareStrategy::Naive,
-                SquareStrategy::Auto,
-                SquareStrategy::Tiled(tile),
-            ] {
-                let mut out = BandedPw::new(n, band);
-                let (stats, rows) =
-                    a_square_banded_scheduled(&pw, &mut out, strategy, None, &backend);
-                prop_assert_eq!(
-                    out.as_slice(), reference.as_slice(),
-                    "banded tables diverge: {} on {}", strategy, backend
-                );
-                prop_assert_eq!(stats, base, "banded stats diverge: {} on {}", strategy, backend);
-                prop_assert_eq!(
-                    &rows, &base_rows,
-                    "banded row flags diverge: {} on {}", strategy, backend
-                );
-            }
-        }
+        let (w, pw) = check_banded_parity(&p, band, iters, tile)?;
         // Skip-everything degrades to a verbatim copy with no stats.
         let mut copied = BandedPw::new(n, band);
         let skip = vec![true; pw.indexer().len()];
@@ -325,6 +470,19 @@ proptest! {
             let row_changed = pw.as_slice()[s..e] != pw_act.as_slice()[s..e];
             prop_assert_eq!(flag, row_changed, "activate flag row {}", a);
         }
+    }
+
+    #[test]
+    fn banded_square_streamed_matches_naive_for_i64_and_f64(
+        pi in payload_strategy::<i64>(12, 100),
+        pf in payload_strategy::<f64>(12, 100),
+        iters in 0usize..4,
+        extra_band in 0usize..5,
+        tile in 1usize..90,
+    ) {
+        let band = default_band(12) + extra_band;
+        check_banded_parity(&pi, band, iters, tile)?;
+        check_banded_parity(&pf, band, iters, tile)?;
     }
 
     #[test]
